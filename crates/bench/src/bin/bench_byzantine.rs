@@ -20,12 +20,12 @@
 use std::sync::Arc;
 
 use adam2_bench::{
-    adam2_engine_with, evaluate_peer_estimates, setup, Args, ExperimentSetup, PeerEstimate,
+    adam2_engine_with, collect_peers, honest_initiator, setup, Args, ExperimentSetup,
 };
 use adam2_core::{uniform_points, Adam2Config, AsyncAdam2, InstanceId, InstanceMeta, RobustPolicy};
 use adam2_sim::{
-    ActiveAdversary, AdversaryModel, EventConfig, EventEngine, FaultScenario, LatencyModel, NodeId,
-    RunManifest, SimTelemetry,
+    ActiveAdversary, AdversaryModel, EventConfig, EventEngine, FaultScenario, LatencyModel,
+    NodeSlab, RunManifest, SimTelemetry,
 };
 use adam2_traces::Attribute;
 
@@ -86,15 +86,6 @@ struct ByzResult {
     fingerprint: u64,
 }
 
-/// FNV-1a over the little-endian bytes of `v`, folded into `h`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn model_name(model: AdversaryModel) -> &'static str {
     match model {
         AdversaryModel::ValuePoisoning { .. } => "value_poisoning",
@@ -111,69 +102,11 @@ fn scenario_for(seed: u64, fraction: f64, model: AdversaryModel) -> Option<Fault
         .then(|| FaultScenario::new(seed).with_adversary(0, ROUNDS + 3, fraction, model))
 }
 
-/// Scores the honest peers' estimates against `truth`, returning the
-/// error report, the honest `n_hat` mean relative error, and a bit-exact
-/// fingerprint over *all* peers (determinism must cover Byzantine state
-/// too). `peers` is `(slot, estimate)` in deterministic slot order.
-fn score_honest(
-    peers: &[(usize, Option<PeerEstimate>)],
-    n_hats: &[(usize, Option<f64>)],
-    adversary: Option<&ActiveAdversary>,
-    s: &ExperimentSetup,
-    args: &Args,
-) -> (adam2_bench::ErrorReport, f64, u64) {
-    let is_honest = |slot: usize| adversary.is_none_or(|adv| !adv.is_byzantine(slot));
-    let honest: Vec<Option<PeerEstimate>> = peers
-        .iter()
-        .filter(|(slot, _)| is_honest(*slot))
-        .map(|(_, est)| est.clone())
-        .collect();
-    let report = evaluate_peer_estimates(&honest, &s.truth, args.sample_peers, args.seed);
-
-    let truth_n = s.population.len() as f64;
-    let (mut sum, mut count) = (0.0f64, 0usize);
-    for (slot, n_hat) in n_hats {
-        if !is_honest(*slot) {
-            continue;
-        }
-        if let Some(n) = n_hat {
-            sum += (n - truth_n).abs() / truth_n;
-            count += 1;
-        }
-    }
-    let n_hat_rel_err = if count > 0 {
-        sum / count as f64
-    } else {
-        f64::NAN
-    };
-
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (slot, est) in peers {
-        h = mix(h, *slot as u64);
-        let Some(est) = est else { continue };
-        for f in &est.fractions {
-            h = mix(h, f.to_bits());
-        }
-        h = mix(h, est.min.to_bits());
-        h = mix(h, est.max.to_bits());
-    }
-    for (_, n_hat) in n_hats {
-        if let Some(n) = n_hat {
-            h = mix(h, n.to_bits());
-        }
-    }
-    (report, n_hat_rel_err, h)
-}
-
-/// Lowest honest slot: the instance initiator is assumed honest (a
-/// Byzantine initiator is the degenerate everything-is-poison case), and
-/// picking the lowest slot doubles as the worst case for the
-/// targeted-partner model, whose victim is exactly the lowest live slot.
-fn honest_initiator(ids: &[NodeId], adversary: Option<&ActiveAdversary>) -> NodeId {
-    *ids.iter()
-        .filter(|id| adversary.is_none_or(|adv| !adv.is_byzantine(id.slot())))
-        .min_by_key(|id| id.slot())
-        .expect("at least one honest node")
+/// Byzantine slots among the initial population (0 without an adversary).
+fn count_byzantine<N>(nodes: &NodeSlab<N>, adversary: Option<&ActiveAdversary>) -> u32 {
+    adversary.map_or(0, |adv| {
+        adv.count_byzantine(nodes.ids().map(|id| id.slot()))
+    })
 }
 
 /// One cycle-engine run on the phase-split parallel round path.
@@ -198,34 +131,15 @@ fn run_cycle(
     if let Some(sc) = scenario {
         engine.set_fault_scenario(sc).expect("valid scenario");
     }
-    let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-    let initiator = honest_initiator(&ids, adversary.as_ref());
+    let byzantine = count_byzantine(engine.nodes(), adversary.as_ref());
+    let initiator = honest_initiator(engine.nodes(), adversary.as_ref());
     engine
         .with_ctx(|proto, ctx| proto.start_instance(initiator, ctx))
         .expect("instance start");
     engine.run_rounds_parallel(ROUNDS + 1 + SETTLE_ROUNDS);
 
-    let peers: Vec<(usize, Option<PeerEstimate>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| {
-            let est = node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            });
-            (id.slot(), est)
-        })
-        .collect();
-    let n_hats: Vec<(usize, Option<f64>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| (id.slot(), node.estimate().and_then(|est| est.n_hat)))
-        .collect();
-    let (report, n_hat_rel_err, fingerprint) =
-        score_honest(&peers, &n_hats, adversary.as_ref(), s, args);
+    let peers = collect_peers(engine.nodes());
+    let report = peers.score_honest(adversary.as_ref(), &s.truth, args.sample_peers, args.seed);
     let mut counter = |name: &str| {
         engine
             .telemetry_mut()
@@ -237,9 +151,6 @@ fn run_cycle(
             .map_or(0, |(_, v)| v)
     };
     let (rejects, trims) = (counter("robust_rejects"), counter("robust_trims"));
-    let byzantine = adversary
-        .as_ref()
-        .map_or(0, |adv| adv.count_byzantine(ids.iter().map(|id| id.slot())));
     ByzResult {
         engine: "cycle",
         model: model_name(model),
@@ -247,12 +158,12 @@ fn run_cycle(
         robust,
         err_a: report.avg_cdf,
         err_m: report.max_cdf,
-        n_hat_rel_err,
+        n_hat_rel_err: peers.honest_n_hat_rel_err(adversary.as_ref(), s.population.len()),
         honest_without_estimate: report.peers_without_estimate,
         byzantine,
         robust_rejects: rejects,
         robust_trims: trims,
-        fingerprint,
+        fingerprint: peers.fingerprint(),
     }
 }
 
@@ -291,35 +202,13 @@ fn run_event(
         end_round: ROUNDS,
         multi: false,
     });
-    let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-    let initiator = honest_initiator(&ids, adversary.as_ref());
+    let byzantine = count_byzantine(engine.nodes(), adversary.as_ref());
+    let initiator = honest_initiator(engine.nodes(), adversary.as_ref());
     engine.with_ctx(|proto, ctx| proto.start_instance(initiator, meta.clone(), ctx));
     engine.run_until_parallel(PERIOD * (ROUNDS + 1 + SETTLE_ROUNDS));
 
-    let peers: Vec<(usize, Option<PeerEstimate>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| {
-            let est = node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            });
-            (id.slot(), est)
-        })
-        .collect();
-    let n_hats: Vec<(usize, Option<f64>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| (id.slot(), node.estimate().and_then(|est| est.n_hat)))
-        .collect();
-    let (report, n_hat_rel_err, fingerprint) =
-        score_honest(&peers, &n_hats, adversary.as_ref(), s, args);
-    let byzantine = adversary
-        .as_ref()
-        .map_or(0, |adv| adv.count_byzantine(ids.iter().map(|id| id.slot())));
+    let peers = collect_peers(engine.nodes());
+    let report = peers.score_honest(adversary.as_ref(), &s.truth, args.sample_peers, args.seed);
     ByzResult {
         engine: "event",
         model: model_name(model),
@@ -327,12 +216,12 @@ fn run_event(
         robust,
         err_a: report.avg_cdf,
         err_m: report.max_cdf,
-        n_hat_rel_err,
+        n_hat_rel_err: peers.honest_n_hat_rel_err(adversary.as_ref(), s.population.len()),
         honest_without_estimate: report.peers_without_estimate,
         byzantine,
         robust_rejects: engine.protocol().robust_rejects(),
         robust_trims: engine.protocol().robust_trims(),
-        fingerprint,
+        fingerprint: peers.fingerprint(),
     }
 }
 

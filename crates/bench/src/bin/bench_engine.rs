@@ -27,7 +27,7 @@ use adam2_bench::{
     start_instance, Args, ExperimentSetup,
 };
 use adam2_core::{uniform_points, Adam2Config, AsyncAdam2, InstanceId, InstanceMeta};
-use adam2_sim::{ChurnModel, EventConfig, EventEngine, LatencyModel, RunManifest};
+use adam2_sim::{mix, ChurnModel, EventConfig, EventEngine, LatencyModel, RunManifest};
 use adam2_traces::Attribute;
 
 struct SizeResult {
@@ -64,15 +64,6 @@ struct EventRun {
 fn measured_rounds(nodes: usize) -> u64 {
     // Keep each measurement in the seconds range across three decades.
     ((2_000_000 / nodes) as u64).clamp(5, 50)
-}
-
-/// FNV-1a over the little-endian bytes of `v`, folded into `h`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Peak resident set size of this process (VmHWM), in bytes.

@@ -29,10 +29,10 @@ pub mod runner;
 pub use args::Args;
 pub use report::{fmt_err, AsciiChart, Table};
 pub use runner::{
-    adam2_engine, adam2_engine_threaded, adam2_engine_with, complete_instance,
+    adam2_engine, adam2_engine_threaded, adam2_engine_with, collect_peers, complete_instance,
     complete_instance_parallel, current_truth, equidepth_engine, equidepth_truth,
     evaluate_equidepth_estimates, evaluate_estimates, evaluate_peer_estimates, export_telemetry,
-    mass_defect, maybe_attach_telemetry, run_instance_audited, run_instance_tracked, setup,
-    start_instance, start_phase, ErrorReport, ExperimentSetup, MassDefect, PeerEstimate,
-    RoundSample, AUDIT_FRACTION, AUDIT_WEIGHT,
+    honest_initiator, mass_defect, maybe_attach_telemetry, run_instance_audited,
+    run_instance_tracked, setup, start_instance, start_phase, ErrorReport, ExperimentSetup,
+    MassDefect, PeerEstimate, PeerStates, RoundSample, AUDIT_FRACTION, AUDIT_WEIGHT,
 };

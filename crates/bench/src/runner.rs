@@ -8,11 +8,12 @@ use rand::RngExt as _;
 
 use adam2_baselines::{EquiDepthConfig, EquiDepthProtocol, PhaseMeta};
 use adam2_core::{
-    discrete_errors_over, Adam2Config, Adam2Protocol, AttrValue, InstanceMeta, InterpCdf, StepCdf,
+    discrete_errors_over, Adam2Config, Adam2Node, Adam2Protocol, AttrValue, DistributionEstimate,
+    InstanceMeta, InterpCdf, StepCdf,
 };
 use adam2_sim::{
-    derive_seed, seeded_rng, ChurnModel, Engine, EngineConfig, MassAuditor, NodeId, RunManifest,
-    SimTelemetry,
+    derive_seed, mix, seeded_rng, ActiveAdversary, ChurnModel, Engine, EngineConfig, MassAuditor,
+    NodeId, NodeSlab, RunManifest, SimTelemetry,
 };
 use adam2_traces::{Attribute, Population};
 
@@ -209,6 +210,122 @@ pub struct PeerEstimate {
     pub max: f64,
 }
 
+impl From<&DistributionEstimate> for PeerEstimate {
+    fn from(est: &DistributionEstimate) -> Self {
+        Self {
+            instance: est.instance.as_u64(),
+            thresholds: est.thresholds.clone(),
+            fractions: est.fractions.clone(),
+            min: est.min,
+            max: est.max,
+        }
+    }
+}
+
+/// Whether `slot` is honest under `adversary` (everyone is without one).
+fn is_honest(adversary: Option<&ActiveAdversary>, slot: usize) -> bool {
+    adversary.is_none_or(|adv| !adv.is_byzantine(slot))
+}
+
+/// Lowest honest slot. The instance initiator is assumed honest (a
+/// Byzantine initiator is the degenerate everything-is-poison case), and
+/// the lowest slot doubles as the worst case for the targeted-partner
+/// model, whose victim is exactly the lowest live slot.
+///
+/// # Panics
+///
+/// Panics if every live node is Byzantine.
+pub fn honest_initiator<N>(nodes: &NodeSlab<N>, adversary: Option<&ActiveAdversary>) -> NodeId {
+    nodes
+        .ids()
+        .filter(|id| is_honest(adversary, id.slot()))
+        .min_by_key(|id| id.slot())
+        .expect("at least one honest node")
+}
+
+/// Final per-peer state of an Adam2 population, in slot order. Both
+/// engines expose the same [`Adam2Node`] slab, so cycle and event runs
+/// are scored and fingerprinted alike.
+#[derive(Debug, Clone)]
+pub struct PeerStates {
+    /// `(slot, latest completed estimate)` per live node.
+    pub estimates: Vec<(usize, Option<PeerEstimate>)>,
+    /// `(slot, n_hat)` per live node.
+    pub n_hats: Vec<(usize, Option<f64>)>,
+}
+
+/// Collects every live node's final estimate and `n_hat`.
+pub fn collect_peers(nodes: &NodeSlab<Adam2Node>) -> PeerStates {
+    PeerStates {
+        estimates: nodes
+            .iter()
+            .map(|(id, node)| (id.slot(), node.estimate().map(PeerEstimate::from)))
+            .collect(),
+        n_hats: nodes
+            .iter()
+            .map(|(id, node)| (id.slot(), node.estimate().and_then(|est| est.n_hat)))
+            .collect(),
+    }
+}
+
+impl PeerStates {
+    /// FNV-1a digest over every peer's final state, Byzantine peers
+    /// included: two runs with equal fingerprints took byte-identical
+    /// trajectories.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (slot, est) in &self.estimates {
+            h = mix(h, *slot as u64);
+            let Some(est) = est else { continue };
+            for f in &est.fractions {
+                h = mix(h, f.to_bits());
+            }
+            h = mix(h, est.min.to_bits());
+            h = mix(h, est.max.to_bits());
+        }
+        for n_hat in self.n_hats.iter().filter_map(|(_, n)| *n) {
+            h = mix(h, n_hat.to_bits());
+        }
+        h
+    }
+
+    /// Err_a / Err_m over the honest peers only (a Byzantine node's own
+    /// estimate is not something the protocol owes anyone).
+    pub fn score_honest(
+        &self,
+        adversary: Option<&ActiveAdversary>,
+        truth: &StepCdf,
+        sample_peers: usize,
+        seed: u64,
+    ) -> ErrorReport {
+        let honest: Vec<Option<PeerEstimate>> = self
+            .estimates
+            .iter()
+            .filter(|(slot, _)| is_honest(adversary, *slot))
+            .map(|(_, est)| est.clone())
+            .collect();
+        evaluate_peer_estimates(&honest, truth, sample_peers, seed)
+    }
+
+    /// Mean relative error of the honest peers' `n_hat` against the true
+    /// size `n` (`NaN` when no honest peer has one).
+    pub fn honest_n_hat_rel_err(&self, adversary: Option<&ActiveAdversary>, n: usize) -> f64 {
+        let truth_n = n as f64;
+        let (mut sum, mut count) = (0.0f64, 0usize);
+        for (slot, n_hat) in &self.n_hats {
+            if let (true, Some(n_hat)) = (is_honest(adversary, *slot), n_hat) {
+                sum += (n_hat - truth_n).abs() / truth_n;
+                count += 1;
+            }
+        }
+        if count > 0 {
+            sum / count as f64
+        } else {
+            f64::NAN
+        }
+    }
+}
+
 /// Evaluates every node's *latest completed estimate* against `truth`.
 ///
 /// `Err_m` over the whole domain is exact across all peers (estimates are
@@ -226,15 +343,7 @@ pub fn evaluate_estimates(
     let peers: Vec<Option<PeerEstimate>> = engine
         .nodes()
         .iter()
-        .map(|(_, node)| {
-            node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            })
-        })
+        .map(|(_, node)| node.estimate().map(PeerEstimate::from))
         .collect();
     evaluate_peer_estimates(&peers, truth, sample_peers, seed)
 }
@@ -424,14 +533,15 @@ pub struct MassDefect {
     pub fraction: f64,
 }
 
-/// Measures the conservation defect of `meta`'s instance right now.
-pub fn mass_defect(engine: &Engine<Adam2Protocol>, meta: &InstanceMeta) -> MassDefect {
+/// Measures the conservation defect of `meta`'s instance right now, over
+/// either engine's node slab.
+pub fn mass_defect(nodes: &NodeSlab<Adam2Node>, meta: &InstanceMeta) -> MassDefect {
     let lambda = meta.thresholds.len();
     let mut weight = 0.0f64;
     let mut fractions = vec![0.0f64; lambda];
     let mut indicators = vec![0.0f64; lambda];
     let mut participants = 0usize;
-    for (_, node) in engine.nodes().iter() {
+    for (_, node) in nodes.iter() {
         let Some(inst) = node.active_instance(meta.id) else {
             continue;
         };
@@ -477,7 +587,7 @@ pub fn run_instance_audited(
     auditor.observe(AUDIT_FRACTION, 0.0);
     for _ in 0..rounds {
         engine.run_round();
-        let defect = mass_defect(engine, meta);
+        let defect = mass_defect(engine.nodes(), meta);
         auditor.observe(AUDIT_WEIGHT, defect.weight);
         auditor.observe(AUDIT_FRACTION, defect.fraction);
         let completed = engine.round() - 1;

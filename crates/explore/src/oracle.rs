@@ -33,15 +33,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use adam2_bench::{
-    adam2_engine_with, evaluate_peer_estimates, run_instance_audited, setup, ErrorReport,
-    ExperimentSetup, PeerEstimate, AUDIT_FRACTION, AUDIT_WEIGHT,
+    adam2_engine_with, collect_peers, honest_initiator, mass_defect, run_instance_audited, setup,
+    ExperimentSetup, AUDIT_FRACTION, AUDIT_WEIGHT,
 };
-use adam2_core::{
-    uniform_points, Adam2Config, Adam2Node, AsyncAdam2, InstanceId, InstanceMeta, RobustPolicy,
-};
+use adam2_core::{uniform_points, Adam2Config, AsyncAdam2, InstanceId, InstanceMeta, RobustPolicy};
 use adam2_sim::{
     ActiveAdversary, EventConfig, EventEngine, ExchangeRepair, FaultEvent, FaultScenario,
-    LatencyModel, MassAuditor, MassViolation, NodeId, NodeSlab, RoundSnapshot, SimTelemetry,
+    LatencyModel, MassAuditor, MassViolation, RoundSnapshot, SimTelemetry,
 };
 use adam2_traces::Attribute;
 
@@ -273,16 +271,6 @@ impl Oracle {
     }
 }
 
-/// FNV-1a over the little-endian bytes of `v`, folded into `h` (the same
-/// digest `bench_byzantine` uses, so fingerprints are comparable).
-pub fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The first adversary window's membership oracle, if the scenario has
 /// one. The mutator never emits more than one adversary event; hand-
 /// written corpus entries with several windows are judged against the
@@ -292,15 +280,6 @@ pub fn adversary_of(scenario: &FaultScenario) -> Option<ActiveAdversary> {
         FaultEvent::Adversary { from_round, .. } => scenario.adversary_at(*from_round),
         _ => None,
     })
-}
-
-/// Lowest honest slot (assumed-honest initiator, worst case for the
-/// targeted-partner model whose victim is the lowest live slot).
-pub fn honest_initiator(ids: &[NodeId], adversary: Option<&ActiveAdversary>) -> NodeId {
-    *ids.iter()
-        .filter(|id| adversary.is_none_or(|adv| !adv.is_byzantine(id.slot())))
-        .min_by_key(|id| id.slot())
-        .expect("at least one honest node")
 }
 
 /// Which mass audits are real invariants of this run (see the module
@@ -409,8 +388,7 @@ fn run_cycle(
             .set_fault_scenario(sc.clone())
             .expect("oracle inputs are pre-validated scenarios");
     }
-    let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-    let initiator = honest_initiator(&ids, adversary.as_ref());
+    let initiator = honest_initiator(engine.nodes(), adversary.as_ref());
     let meta = engine
         .with_ctx(|proto, ctx| proto.start_instance(initiator, ctx))
         .expect("instance start");
@@ -424,9 +402,13 @@ fn run_cycle(
     let auditor = run_instance_audited(&mut engine, &meta, total_rounds);
     let healed = engine.protocol().healed_count();
 
-    let (peers, n_hats) = collect_peers(engine.nodes());
-    let report = score_honest(&peers, adversary.as_ref(), s, config);
-    let fingerprint = fingerprint_of(&peers, &n_hats);
+    let peers = collect_peers(engine.nodes());
+    let report = peers.score_honest(
+        adversary.as_ref(),
+        &s.truth,
+        config.sample_peers,
+        config.seed,
+    );
 
     let snapshots: Vec<RoundSnapshot> = engine
         .telemetry_mut()
@@ -459,102 +441,11 @@ fn run_cycle(
         verdict,
         detail,
         err_a: report.avg_cdf,
-        fingerprint,
+        fingerprint: peers.fingerprint(),
         signature,
         healed,
         peers_without_estimate: report.peers_without_estimate,
     }
-}
-
-/// Final per-peer state (slot + optional estimate) and n̂ samples, shared
-/// by the cycle and event paths (both engines expose the same
-/// [`Adam2Node`] slab).
-fn collect_peers(nodes: &NodeSlab<Adam2Node>) -> PeerStates {
-    let peers: Vec<(usize, Option<PeerEstimate>)> = nodes
-        .iter()
-        .map(|(id, node)| {
-            let est = node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            });
-            (id.slot(), est)
-        })
-        .collect();
-    let n_hats: Vec<Option<f64>> = nodes
-        .iter()
-        .map(|(_, node)| node.estimate().and_then(|est| est.n_hat))
-        .collect();
-    (peers, n_hats)
-}
-
-type PeerStates = (Vec<(usize, Option<PeerEstimate>)>, Vec<Option<f64>>);
-
-/// Err_a over the honest peers only (a Byzantine node's estimate is not
-/// an invariant the protocol owes anyone).
-fn score_honest(
-    peers: &[(usize, Option<PeerEstimate>)],
-    adversary: Option<&ActiveAdversary>,
-    s: &ExperimentSetup,
-    config: &OracleConfig,
-) -> ErrorReport {
-    let honest: Vec<Option<PeerEstimate>> = peers
-        .iter()
-        .filter(|(slot, _)| adversary.is_none_or(|adv| !adv.is_byzantine(*slot)))
-        .map(|(_, est)| est.clone())
-        .collect();
-    evaluate_peer_estimates(&honest, &s.truth, config.sample_peers, config.seed)
-}
-
-/// FNV-1a digest over every peer's final state (same construction as
-/// `bench_byzantine`): two runs with equal fingerprints took
-/// byte-identical trajectories.
-fn fingerprint_of(peers: &[(usize, Option<PeerEstimate>)], n_hats: &[Option<f64>]) -> u64 {
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for (slot, est) in peers {
-        fingerprint = mix(fingerprint, *slot as u64);
-        let Some(est) = est else { continue };
-        for f in &est.fractions {
-            fingerprint = mix(fingerprint, f.to_bits());
-        }
-        fingerprint = mix(fingerprint, est.min.to_bits());
-        fingerprint = mix(fingerprint, est.max.to_bits());
-    }
-    for n_hat in n_hats.iter().flatten() {
-        fingerprint = mix(fingerprint, n_hat.to_bits());
-    }
-    fingerprint
-}
-
-/// The event-engine counterpart of `adam2_bench::mass_defect`: aggregate
-/// weight and fraction mass of `meta`'s instance over the whole slab.
-fn event_mass_defect(engine: &EventEngine<AsyncAdam2>, meta: &InstanceMeta) -> (f64, f64) {
-    let lambda = meta.thresholds.len();
-    let mut weight = 0.0f64;
-    let mut fractions = vec![0.0f64; lambda];
-    let mut indicators = vec![0.0f64; lambda];
-    let mut participants = 0usize;
-    for (_, node) in engine.nodes().iter() {
-        let Some(inst) = node.active_instance(meta.id) else {
-            continue;
-        };
-        participants += 1;
-        weight += inst.weight;
-        for (acc, f) in fractions.iter_mut().zip(&inst.fractions) {
-            *acc += f;
-        }
-        for (acc, t) in indicators.iter_mut().zip(meta.thresholds.iter()) {
-            *acc += node.value().indicator(*t);
-        }
-    }
-    let fraction = fractions
-        .iter()
-        .zip(&indicators)
-        .map(|(f, x)| (f - x).abs())
-        .fold(0.0f64, f64::max);
-    (if participants > 0 { weight - 1.0 } else { 0.0 }, fraction)
 }
 
 impl Oracle {
@@ -610,8 +501,7 @@ impl Oracle {
             end_round: ROUNDS,
             multi: false,
         });
-        let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-        let initiator = honest_initiator(&ids, adversary.as_ref());
+        let initiator = honest_initiator(engine.nodes(), adversary.as_ref());
         engine.with_ctx(|proto, ctx| proto.start_instance(initiator, meta.clone(), ctx));
 
         let mut auditor = MassAuditor::new();
@@ -619,15 +509,19 @@ impl Oracle {
         auditor.observe(AUDIT_FRACTION, 0.0);
         for k in (ROUNDS - EVENT_AUDIT_BOUNDARIES)..ROUNDS {
             engine.run_until_parallel(k * PERIOD);
-            let (weight, fraction) = event_mass_defect(&engine, &meta);
-            auditor.observe(AUDIT_WEIGHT, weight);
-            auditor.observe(AUDIT_FRACTION, fraction);
+            let defect = mass_defect(engine.nodes(), &meta);
+            auditor.observe(AUDIT_WEIGHT, defect.weight);
+            auditor.observe(AUDIT_FRACTION, defect.fraction);
         }
         engine.run_until_parallel(PERIOD * (ROUNDS + 1 + SETTLE_ROUNDS));
 
-        let (peers, n_hats) = collect_peers(engine.nodes());
-        let report = score_honest(&peers, adversary.as_ref(), s, config);
-        let fingerprint = fingerprint_of(&peers, &n_hats);
+        let peers = collect_peers(engine.nodes());
+        let report = peers.score_honest(
+            adversary.as_ref(),
+            &s.truth,
+            config.sample_peers,
+            config.seed,
+        );
 
         let mass_eligible = mass_eligibility_for(scenario, 0);
         let (verdict, detail) = judge(
@@ -647,7 +541,7 @@ impl Oracle {
             verdict,
             detail,
             err_a: report.avg_cdf,
-            fingerprint,
+            fingerprint: peers.fingerprint(),
             // The event engine's telemetry is tick-granular; the
             // behaviour signature is a cycle-path concept and stays
             // empty here (the campaign only explores on the cycle

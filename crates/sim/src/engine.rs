@@ -21,8 +21,7 @@ use rand::RngExt as _;
 use crate::churn::{ChurnModel, ChurnState};
 use crate::executor;
 use crate::faults::{
-    ActiveAdversary, DriftModel, DriftOp, FaultRuntime, FaultScenario, FaultTrace, PlannedAttack,
-    RoundFaults,
+    ActiveAdversary, DriftOp, FaultHost, FaultRuntime, FaultScenario, FaultTrace, PlannedAttack,
 };
 use crate::node::{NodeId, NodeSlab};
 use crate::overlay::{Overlay, OverlayConfig};
@@ -408,7 +407,7 @@ fn charge_traffic(net: &mut NetStats, plan: &PlannedExchange, traffic: ExchangeT
 /// the lowest live slot other than the attacker itself. `None` when no
 /// targeted adversary is active, `of` is honest, or no other node is live —
 /// callers then fall through to the normal random draw.
-fn targeted_victim<N>(
+pub(crate) fn targeted_victim<N>(
     adversary: &Option<ActiveAdversary>,
     nodes: &NodeSlab<N>,
     of: NodeId,
@@ -763,21 +762,9 @@ impl<P: Protocol> Engine<P> {
         order.extend(self.nodes.ids());
         order.shuffle(&mut self.rng);
         for &id in &order {
-            if !self.nodes.contains(id) {
-                continue;
+            if self.nodes.contains(id) {
+                self.with_ctx(|protocol, ctx| protocol.on_round(id, ctx));
             }
-            let mut ctx = Ctx {
-                round: self.round,
-                nodes: &mut self.nodes,
-                overlay: &self.overlay,
-                rng: &mut self.rng,
-                net: &mut self.net,
-                loss_rate: self.loss_rate,
-                repair: self.repair,
-                telemetry: TelemetryHandle::new(self.telemetry.as_deref_mut()),
-                adversary: self.adversary,
-            };
-            self.protocol.on_round(id, &mut ctx);
         }
         self.order_buf = order;
         self.end_round_telemetry();
@@ -909,18 +896,7 @@ impl<P: Protocol> Engine<P> {
             let Some(report) = reports[id.slot()] else {
                 continue;
             };
-            let mut ctx = Ctx {
-                round: self.round,
-                nodes: &mut self.nodes,
-                overlay: &self.overlay,
-                rng: &mut self.rng,
-                net: &mut self.net,
-                loss_rate: self.loss_rate,
-                repair: self.repair,
-                telemetry: TelemetryHandle::new(self.telemetry.as_deref_mut()),
-                adversary: self.adversary,
-            };
-            self.protocol.par_absorb(id, &report, &mut ctx);
+            self.with_ctx(|protocol, ctx| protocol.par_absorb(id, &report, ctx));
         }
         self.ids_buf = ids;
 
@@ -1053,206 +1029,17 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Applies the attached fault scenario for the round about to run:
-    /// burst-loss overrides, partition set/heal, crash waves, and
-    /// recoveries. All fault randomness comes from scenario-seeded streams
-    /// (never the engine RNG), so the injected faults are identical under
-    /// the sequential and parallel paths at any thread count.
+    /// Applies the attached fault scenario for the round about to run
+    /// (see [`FaultRuntime::apply_round`]) and resolves the round's
+    /// adversary window. Recovered nodes join while `adversary` is still
+    /// cleared, like any churn join.
     fn begin_round_faults(&mut self) {
         self.adversary = None;
         let Some(mut rt) = self.faults.take() else {
             return;
         };
-        let round = self.round;
-
-        // 1. Burst loss: override or restore the effective loss rate.
-        let loss_override = rt.scenario.loss_rate_at(round);
-        self.loss_rate = loss_override.unwrap_or(self.base_loss_rate);
-        if loss_override.is_some() {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_fault_loss(round, self.loss_rate);
-            }
-        }
-
-        // 2. Partition: (re)compute the group assignment while a window is
-        // active (covering slots created by recoveries/churn since the cut)
-        // and heal when it closes. Groups are a pure function of the
-        // scenario seed, window start and slot.
-        let active = rt.scenario.active_partition(round);
-        let mut partition_checksum = 0u64;
-        match active {
-            Some((start, kind)) => {
-                let k = kind.groups();
-                let mut groups = vec![0u32; self.nodes.slot_count()];
-                for id in self.nodes.id_vec() {
-                    let g = rt.scenario.partition_group(start, id.slot(), k);
-                    groups[id.slot()] = g;
-                    partition_checksum ^= derive_seed(id.slot() as u64, u64::from(g));
-                }
-                self.overlay.set_partition(groups);
-                rt.partition_applied = Some(start);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_fault_partition(round, partition_checksum);
-                }
-            }
-            None => {
-                if rt.partition_applied.take().is_some() {
-                    self.overlay.clear_partition();
-                }
-            }
-        }
-
-        // 3. Crash waves firing this round: victims are drawn from a
-        // scenario-seeded shuffle of the live population (taken in slot
-        // order), state wiped, removed from the overlay.
-        let mut crashed_slots: Vec<u32> = Vec::new();
-        for (recover_round, fraction) in rt.scenario.crashes_at(round) {
-            let live = self.nodes.len();
-            let k = ((fraction * live as f64).round() as usize).min(live.saturating_sub(1));
-            if k == 0 {
-                continue;
-            }
-            let mut ids = self.nodes.id_vec();
-            let mut rng = rt.crash_rng(round);
-            ids.shuffle(&mut rng);
-            let mut wave = 0u32;
-            for id in ids.into_iter().take(k) {
-                if let Some(state) = self.nodes.remove(id) {
-                    self.overlay.remove_node(id);
-                    self.protocol.on_leave(id, state);
-                    crashed_slots.push(id.slot() as u32);
-                    wave += 1;
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.record_crash(round, id.slot() as u32);
-                    }
-                }
-            }
-            if wave > 0 {
-                rt.pending_recoveries.push((recover_round, wave));
-            }
-        }
-
-        // 4. Recoveries due this round: the same number of fresh nodes
-        // rejoins via peer sampling. Their initial state comes from a
-        // scenario-seeded stream so it is execution-path independent; the
-        // `on_join` bootstrap uses the engine RNG like any churn join.
-        let mut recovered = 0u32;
-        rt.pending_recoveries.retain(|&(when, count)| {
-            if when <= round {
-                recovered += count;
-                false
-            } else {
-                true
-            }
-        });
-        if recovered > 0 {
-            let mut rng = rt.recover_rng(round);
-            let mut joined = Vec::with_capacity(recovered as usize);
-            for _ in 0..recovered {
-                let state = self.protocol.make_node(&mut rng);
-                let id = self.nodes.insert(state);
-                self.net.reset_slot(id.slot());
-                self.churn_state.on_insert(&self.churn, id, round, &mut rng);
-                self.overlay.register_node(id, &self.nodes, &mut rng);
-                joined.push(id);
-            }
-            for id in joined {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_recovery(round, id.slot() as u32);
-                }
-                let mut ctx = Ctx {
-                    round: self.round,
-                    nodes: &mut self.nodes,
-                    overlay: &self.overlay,
-                    rng: &mut self.rng,
-                    net: &mut self.net,
-                    loss_rate: self.loss_rate,
-                    repair: self.repair,
-                    telemetry: TelemetryHandle::new(self.telemetry.as_deref_mut()),
-                    adversary: self.adversary,
-                };
-                self.protocol.on_join(id, &mut ctx);
-            }
-        }
-
-        // 5. Attribute drift: while a window is active, rewrite live
-        // nodes' values in slot order. All randomness comes from the
-        // scenario's per-round drift stream (never the engine RNG), and
-        // the loop is sequential on every execution path, so the mutation
-        // replays bit-identically at any thread count.
-        let drifted = self.apply_drift(&rt, round);
-        if drifted > 0 {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_fault_drift(round, drifted);
-            }
-        }
-
-        // 6. Byzantine adversary: resolve the window covering this round
-        // (if any) and count the compromised slots among the live
-        // population. Membership is a pure function of the scenario seed,
-        // so the count — like everything else in the trace — is identical
-        // under both engine paths at any thread count.
-        self.adversary = rt.scenario.adversary_at(round);
-        let byzantine = self
-            .adversary
-            .as_ref()
-            .map(|adv| adv.count_byzantine(self.nodes.ids().map(|id| id.slot())))
-            .unwrap_or(0);
-
-        if loss_override.is_some()
-            || active.is_some()
-            || !crashed_slots.is_empty()
-            || recovered > 0
-            || self.adversary.is_some()
-            || drifted > 0
-        {
-            rt.trace.records.push(RoundFaults {
-                round,
-                loss_rate: self.loss_rate,
-                partition_active: active.is_some(),
-                partition_checksum,
-                crashed: crashed_slots,
-                recovered,
-                byzantine,
-                drifted,
-            });
-        }
+        self.adversary = rt.apply_round(self.round, self.base_loss_rate, self);
         self.faults = Some(rt);
-    }
-
-    /// Applies the drift models active at `round` to every live node in
-    /// slot order, returning the number of node mutations performed.
-    fn apply_drift(&mut self, rt: &FaultRuntime, round: u64) -> u32 {
-        let models = rt.scenario.drifts_at(round);
-        if models.is_empty() {
-            return 0;
-        }
-        let mut rng = rt.drift_rng(round);
-        let ids = self.nodes.id_vec();
-        let mut drifted = 0u32;
-        for model in models {
-            for &id in &ids {
-                let op = match model {
-                    DriftModel::LinearRamp { per_round } => Some(DriftOp::Shift(per_round)),
-                    DriftModel::Step { shift } => Some(DriftOp::Shift(shift)),
-                    DriftModel::Jitter { sigma } => {
-                        // One draw per node, consumed even when sigma is 0,
-                        // keeping the stream aligned across scenarios.
-                        let u = rng.random::<f64>();
-                        Some(DriftOp::Shift((2.0 * u - 1.0) * sigma))
-                    }
-                    DriftModel::Replacement { rate } => {
-                        (rng.random::<f64>() < rate).then_some(DriftOp::Replace)
-                    }
-                };
-                let Some(op) = op else { continue };
-                if let Some(node) = self.nodes.get_mut(id) {
-                    self.protocol.drift_node(id, node, op, &mut rng);
-                    drifted += 1;
-                }
-            }
-        }
-        drifted
     }
 
     fn apply_churn(&mut self) {
@@ -1316,18 +1103,7 @@ impl<P: Protocol> Engine<P> {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.record_churn_join(self.round, id.slot() as u32);
             }
-            let mut ctx = Ctx {
-                round: self.round,
-                nodes: &mut self.nodes,
-                overlay: &self.overlay,
-                rng: &mut self.rng,
-                net: &mut self.net,
-                loss_rate: self.loss_rate,
-                repair: self.repair,
-                telemetry: TelemetryHandle::new(self.telemetry.as_deref_mut()),
-                adversary: self.adversary,
-            };
-            self.protocol.on_join(id, &mut ctx);
+            self.with_ctx(|protocol, ctx| protocol.on_join(id, ctx));
         }
     }
 
@@ -1433,6 +1209,60 @@ impl<P: Protocol> Engine<P> {
             adversary: self.adversary,
         };
         f(&mut self.protocol, &mut ctx)
+    }
+}
+
+/// The cycle engine's structural fault effects: the overlay carries the
+/// partition and loses/regains crashed/recovered nodes, the protocol sees
+/// `on_leave`/`on_join`, and recovered nodes enter the churn schedule.
+impl<P: Protocol> FaultHost for Engine<P> {
+    type Node = P::Node;
+
+    fn nodes(&mut self) -> &mut NodeSlab<P::Node> {
+        &mut self.nodes
+    }
+
+    fn net(&mut self) -> &mut NetStats {
+        &mut self.net
+    }
+
+    fn telemetry(&mut self) -> Option<&mut SimTelemetry> {
+        self.telemetry.as_deref_mut()
+    }
+
+    fn make_node(&mut self, rng: &mut StdRng) -> P::Node {
+        self.protocol.make_node(rng)
+    }
+
+    fn drift_node(&mut self, id: NodeId, op: DriftOp, rng: &mut StdRng) {
+        if let Some(node) = self.nodes.get_mut(id) {
+            self.protocol.drift_node(id, node, op, rng);
+        }
+    }
+
+    fn set_loss_rate(&mut self, loss_rate: f64) {
+        self.loss_rate = loss_rate;
+    }
+
+    fn set_partition(&mut self, groups: Option<Vec<u32>>) {
+        match groups {
+            Some(groups) => self.overlay.set_partition(groups),
+            None => self.overlay.clear_partition(),
+        }
+    }
+
+    fn on_crash(&mut self, id: NodeId, state: P::Node) {
+        self.overlay.remove_node(id);
+        self.protocol.on_leave(id, state);
+    }
+
+    fn on_recover(&mut self, id: NodeId, round: u64, rng: &mut StdRng) {
+        self.churn_state.on_insert(&self.churn, id, round, rng);
+        self.overlay.register_node(id, &self.nodes, rng);
+    }
+
+    fn on_rejoin(&mut self, id: NodeId) {
+        self.with_ctx(|protocol, ctx| protocol.on_join(id, ctx));
     }
 }
 

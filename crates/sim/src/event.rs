@@ -37,12 +37,8 @@ use std::collections::{HashSet, VecDeque};
 use rand::rngs::StdRng;
 use rand::RngExt as _;
 
-use rand::seq::SliceRandom as _;
-
-use crate::engine::SimConfigError;
-use crate::faults::{
-    ActiveAdversary, DriftModel, DriftOp, FaultRuntime, FaultScenario, FaultTrace, RoundFaults,
-};
+use crate::engine::{targeted_victim, SimConfigError};
+use crate::faults::{ActiveAdversary, DriftOp, FaultHost, FaultRuntime, FaultScenario, FaultTrace};
 use crate::node::{NodeId, NodeSlab, PeerView};
 use crate::rng::{derive_seed, par_stream_rng, seeded_rng};
 use crate::stats::NetStats;
@@ -306,19 +302,12 @@ impl<N, M> EventCtx<'_, N, M> {
     /// Draws a uniformly random live node other than `of` (the idealised
     /// peer-sampling service).
     ///
-    /// Mirrors `Ctx::random_neighbour` on the cycle engine: a Byzantine
-    /// `of` under a targeted-partner adversary deterministically aims at
-    /// the lowest live slot instead of sampling, consuming no engine RNG.
+    /// A Byzantine `of` under a targeted-partner adversary deterministically
+    /// aims at the lowest live slot instead of sampling, consuming no engine
+    /// RNG (the same override as `Ctx::random_neighbour`).
     pub fn random_neighbour(&mut self, of: NodeId) -> Option<NodeId> {
-        if let Some(adv) = &self.adversary {
-            if adv.model.targets_partner() && adv.is_byzantine(of.slot()) {
-                let mut ids = self.nodes.ids();
-                let first = ids.next();
-                let victim = if first == Some(of) { ids.next() } else { first };
-                if victim.is_some() {
-                    return victim;
-                }
-            }
+        if let Some(victim) = targeted_victim(&self.adversary, self.nodes, of) {
+            return Some(victim);
         }
         self.nodes.random_other(of, self.rng)
     }
@@ -751,163 +740,8 @@ impl<P: AsyncProtocol> EventEngine<P> {
         let Some(mut rt) = self.faults.take() else {
             return;
         };
-        let loss_override = rt.scenario.loss_rate_at(round);
-        let loss_rate = loss_override.unwrap_or(self.config.loss_rate);
-        if loss_override.is_some() {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_fault_loss(round, loss_rate);
-            }
-        }
-
-        // Partition bookkeeping: the cut itself is enforced per message in
-        // `route`; here we track the window and compute the trace checksum
-        // over the live population, exactly as the cycle engine does.
-        let active = rt.scenario.active_partition(round);
-        let mut partition_checksum = 0u64;
-        match active {
-            Some((start, kind)) => {
-                let k = kind.groups();
-                for id in self.nodes.id_vec() {
-                    let g = rt.scenario.partition_group(start, id.slot(), k);
-                    partition_checksum ^= derive_seed(id.slot() as u64, u64::from(g));
-                }
-                rt.partition_applied = Some(start);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_fault_partition(round, partition_checksum);
-                }
-            }
-            None => {
-                rt.partition_applied.take();
-            }
-        }
-
-        // Crash waves firing this round: victims come from a
-        // scenario-seeded shuffle of the live population in slot order.
-        // Their state is dropped; pending events for them are filtered by
-        // the liveness checks in both drivers.
-        let mut crashed_slots: Vec<u32> = Vec::new();
-        for (recover_round, fraction) in rt.scenario.crashes_at(round) {
-            let live = self.nodes.len();
-            let k = ((fraction * live as f64).round() as usize).min(live.saturating_sub(1));
-            if k == 0 {
-                continue;
-            }
-            let mut ids = self.nodes.id_vec();
-            let mut rng = rt.crash_rng(round);
-            ids.shuffle(&mut rng);
-            let mut wave = 0u32;
-            for id in ids.into_iter().take(k) {
-                if self.nodes.remove(id).is_some() {
-                    crashed_slots.push(id.slot() as u32);
-                    wave += 1;
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.record_crash(round, id.slot() as u32);
-                    }
-                }
-            }
-            if wave > 0 {
-                rt.pending_recoveries.push((recover_round, wave));
-            }
-        }
-
-        // Recoveries due this round: fresh nodes built from the scenario
-        // stream rejoin and schedule their first gossip timer within one
-        // period. The timer lands relative to `now`, which is the batch
-        // tick in both drivers — thread-count-invariant by construction.
-        let mut recovered = 0u32;
-        rt.pending_recoveries.retain(|&(when, count)| {
-            if when <= round {
-                recovered += count;
-                false
-            } else {
-                true
-            }
-        });
-        if recovered > 0 {
-            let mut rng = rt.recover_rng(round);
-            for _ in 0..recovered {
-                let state = self.protocol.make_node(&mut rng);
-                let id = self.nodes.insert(state);
-                self.net.reset_slot(id.slot());
-                let phase = rng.random_range(0..self.config.gossip_period);
-                self.schedule_timer(self.now + 1 + phase, id);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_recovery(round, id.slot() as u32);
-                }
-            }
-        }
-
-        // Attribute drift: rewrite live nodes' values in slot order from
-        // the scenario's per-round drift stream, exactly as the cycle
-        // engine does at the same fault round — the traces must match.
-        let drifted = self.apply_drift(&rt, round);
-        if drifted > 0 {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_fault_drift(round, drifted);
-            }
-        }
-
-        // 5. Byzantine adversary: membership is a pure function of the
-        // scenario seed, counted over the post-crash live population.
-        let adversary = rt.scenario.adversary_at(round);
-        let byzantine = adversary
-            .as_ref()
-            .map(|adv| adv.count_byzantine(self.nodes.ids().map(|id| id.slot())))
-            .unwrap_or(0);
-
-        if loss_override.is_some()
-            || active.is_some()
-            || !crashed_slots.is_empty()
-            || recovered > 0
-            || adversary.is_some()
-            || drifted > 0
-        {
-            rt.trace.records.push(RoundFaults {
-                round,
-                loss_rate,
-                partition_active: active.is_some(),
-                partition_checksum,
-                crashed: crashed_slots,
-                recovered,
-                byzantine,
-                drifted,
-            });
-        }
+        rt.apply_round(round, self.config.loss_rate, self);
         self.faults = Some(rt);
-    }
-
-    /// Applies the drift models active at fault round `round` to every
-    /// live node in slot order (mirrors `Engine::apply_drift` exactly so
-    /// cycle ↔ event fault traces stay comparable).
-    fn apply_drift(&mut self, rt: &FaultRuntime, round: u64) -> u32 {
-        let models = rt.scenario.drifts_at(round);
-        if models.is_empty() {
-            return 0;
-        }
-        let mut rng = rt.drift_rng(round);
-        let ids = self.nodes.id_vec();
-        let mut drifted = 0u32;
-        for model in models {
-            for &id in &ids {
-                let op = match model {
-                    DriftModel::LinearRamp { per_round } => Some(DriftOp::Shift(per_round)),
-                    DriftModel::Step { shift } => Some(DriftOp::Shift(shift)),
-                    DriftModel::Jitter { sigma } => {
-                        let u = rng.random::<f64>();
-                        Some(DriftOp::Shift((2.0 * u - 1.0) * sigma))
-                    }
-                    DriftModel::Replacement { rate } => {
-                        (rng.random::<f64>() < rate).then_some(DriftOp::Replace)
-                    }
-                };
-                let Some(op) = op else { continue };
-                if let Some(node) = self.nodes.get_mut(id) {
-                    self.protocol.drift_node(id, node, op, &mut rng);
-                    drifted += 1;
-                }
-            }
-        }
-        drifted
     }
 
     /// Registers `send_seq` as having a duplicate twin in flight, evicting
@@ -1080,6 +914,41 @@ impl<P: AsyncProtocol> EventEngine<P> {
         let result = f(&mut self.protocol, &mut ctx);
         self.flush(outbox);
         result
+    }
+}
+
+/// The event engine's structural fault effects: partitions are enforced
+/// per message in `route`, so the only engine-specific step is scheduling
+/// a recovered node's first gossip timer within one period of `now` (the
+/// batch tick in both drivers, so thread-count-invariant by construction).
+impl<P: AsyncProtocol> FaultHost for EventEngine<P> {
+    type Node = P::Node;
+
+    fn nodes(&mut self) -> &mut NodeSlab<P::Node> {
+        &mut self.nodes
+    }
+
+    fn net(&mut self) -> &mut NetStats {
+        &mut self.net
+    }
+
+    fn telemetry(&mut self) -> Option<&mut SimTelemetry> {
+        self.telemetry.as_deref_mut()
+    }
+
+    fn make_node(&mut self, rng: &mut StdRng) -> P::Node {
+        self.protocol.make_node(rng)
+    }
+
+    fn drift_node(&mut self, id: NodeId, op: DriftOp, rng: &mut StdRng) {
+        if let Some(node) = self.nodes.get_mut(id) {
+            self.protocol.drift_node(id, node, op, rng);
+        }
+    }
+
+    fn on_recover(&mut self, id: NodeId, _round: u64, rng: &mut StdRng) {
+        let phase = rng.random_range(0..self.config.gossip_period);
+        self.schedule_timer(self.now + 1 + phase, id);
     }
 }
 

@@ -15,17 +15,24 @@
 //! [`RoundFaults`] records, which tests compare across execution paths and
 //! benches report alongside protocol error.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom as _;
+use rand::RngExt as _;
+
 use crate::engine::SimConfigError;
+use crate::node::{NodeId, NodeSlab};
 use crate::rng::{derive_seed, seeded_rng};
+use crate::stats::NetStats;
+use crate::telemetry::SimTelemetry;
 
 /// Fault-stream tags for [`derive_seed`], disjoint from the engine's
 /// parallel-phase counters (0, 1) by a wide margin.
-pub(crate) const PHASE_PARTITION: u64 = 16;
-pub(crate) const PHASE_CRASH: u64 = 17;
-pub(crate) const PHASE_RECOVER: u64 = 18;
-pub(crate) const PHASE_ADVERSARY: u64 = 19;
-pub(crate) const PHASE_ADV_DRAW: u64 = 20;
-pub(crate) const PHASE_DRIFT: u64 = 21;
+const PHASE_PARTITION: u64 = 16;
+const PHASE_CRASH: u64 = 17;
+const PHASE_RECOVER: u64 = 18;
+const PHASE_ADVERSARY: u64 = 19;
+const PHASE_ADV_DRAW: u64 = 20;
+const PHASE_DRIFT: u64 = 21;
 
 /// Shape of an injected network partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -817,15 +824,57 @@ impl FaultTrace {
     }
 }
 
+/// What an engine lends the shared fault step ([`FaultRuntime::apply_round`]):
+/// its node slab, accounting and telemetry, plus the structural effects
+/// that differ between the cycle and event simulators. The defaults are
+/// no-ops, so an engine overrides only the effects it has.
+pub(crate) trait FaultHost {
+    /// Per-node protocol state.
+    type Node;
+
+    /// The live nodes.
+    fn nodes(&mut self) -> &mut NodeSlab<Self::Node>;
+
+    /// Network accounting (recovered slots start from a clean ledger).
+    fn net(&mut self) -> &mut NetStats;
+
+    /// The attached telemetry store, if any.
+    fn telemetry(&mut self) -> Option<&mut SimTelemetry>;
+
+    /// Builds a fresh node state from `rng` (the protocol's `make_node`).
+    fn make_node(&mut self, rng: &mut StdRng) -> Self::Node;
+
+    /// Applies one drift operation to the live node `id`.
+    fn drift_node(&mut self, id: NodeId, op: DriftOp, rng: &mut StdRng);
+
+    /// Installs the round's effective loss rate.
+    fn set_loss_rate(&mut self, _loss_rate: f64) {}
+
+    /// Installs a partition's per-slot group assignment, or heals the cut
+    /// (`None`).
+    fn set_partition(&mut self, _groups: Option<Vec<u32>>) {}
+
+    /// Structural effects of a crash, after `id` left the slab.
+    fn on_crash(&mut self, _id: NodeId, _state: Self::Node) {}
+
+    /// The engine's own draws for a recovered node just inserted at
+    /// `round`, taken from the recover stream `rng`.
+    fn on_recover(&mut self, _id: NodeId, _round: u64, _rng: &mut StdRng) {}
+
+    /// Called once per recovered node, in insertion order, after the
+    /// whole wave is in place.
+    fn on_rejoin(&mut self, _id: NodeId) {}
+}
+
 /// Engine-side runtime state for an attached scenario.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     /// The scenario being replayed.
     pub(crate) scenario: FaultScenario,
     /// Window start of the currently applied partition, if any.
-    pub(crate) partition_applied: Option<u64>,
+    partition_applied: Option<u64>,
     /// Crashed-node batches waiting to rejoin, as `(recover_round, count)`.
-    pub(crate) pending_recoveries: Vec<(u64, u32)>,
+    pending_recoveries: Vec<(u64, u32)>,
     /// Record of everything injected so far.
     pub(crate) trace: FaultTrace,
 }
@@ -840,31 +889,192 @@ impl FaultRuntime {
         }
     }
 
-    /// Deterministic RNG for selecting crash victims at `round`.
-    pub(crate) fn crash_rng(&self, round: u64) -> rand::rngs::StdRng {
-        seeded_rng(derive_seed(
-            derive_seed(self.scenario.seed, PHASE_CRASH),
-            round,
-        ))
+    /// Deterministic RNG for the fault stream `phase` at `round`.
+    fn stream_rng(&self, phase: u64, round: u64) -> StdRng {
+        seeded_rng(derive_seed(derive_seed(self.scenario.seed, phase), round))
     }
 
-    /// Deterministic RNG for rebuilding recovered nodes at `round`.
-    pub(crate) fn recover_rng(&self, round: u64) -> rand::rngs::StdRng {
-        seeded_rng(derive_seed(
-            derive_seed(self.scenario.seed, PHASE_RECOVER),
-            round,
-        ))
+    /// Applies the scenario's faults for `round` to `host`, in a fixed
+    /// order: loss override, partition, crash waves, recoveries, drift,
+    /// adversary membership; then appends the round's [`RoundFaults`]
+    /// record when anything was active. Every random draw comes from a
+    /// scenario-seeded stream (never an engine RNG), so both engines, on
+    /// every driver and at any thread count, inject the same faults.
+    ///
+    /// Returns the adversary window covering `round`, if any.
+    pub(crate) fn apply_round<H: FaultHost>(
+        &mut self,
+        round: u64,
+        base_loss_rate: f64,
+        host: &mut H,
+    ) -> Option<ActiveAdversary> {
+        // 1. Burst loss: override or restore the effective loss rate.
+        let loss_override = self.scenario.loss_rate_at(round);
+        let loss_rate = loss_override.unwrap_or(base_loss_rate);
+        host.set_loss_rate(loss_rate);
+        if loss_override.is_some() {
+            if let Some(t) = host.telemetry() {
+                t.record_fault_loss(round, loss_rate);
+            }
+        }
+
+        // 2. Partition: (re)compute the group assignment while a window is
+        // active (covering slots created by recoveries since the cut) and
+        // heal when it closes. Groups are a pure function of the scenario
+        // seed, window start and slot.
+        let active = self.scenario.active_partition(round);
+        let mut partition_checksum = 0u64;
+        match active {
+            Some((start, kind)) => {
+                let k = kind.groups();
+                let mut groups = vec![0u32; host.nodes().slot_count()];
+                for id in host.nodes().id_vec() {
+                    let g = self.scenario.partition_group(start, id.slot(), k);
+                    groups[id.slot()] = g;
+                    partition_checksum ^= derive_seed(id.slot() as u64, u64::from(g));
+                }
+                host.set_partition(Some(groups));
+                self.partition_applied = Some(start);
+                if let Some(t) = host.telemetry() {
+                    t.record_fault_partition(round, partition_checksum);
+                }
+            }
+            None => {
+                if self.partition_applied.take().is_some() {
+                    host.set_partition(None);
+                }
+            }
+        }
+
+        // 3. Crash waves firing this round: victims are drawn from a
+        // scenario-seeded shuffle of the live population (taken in slot
+        // order) and their state is wiped.
+        let mut crashed: Vec<u32> = Vec::new();
+        for (recover_round, fraction) in self.scenario.crashes_at(round) {
+            let live = host.nodes().len();
+            let k = ((fraction * live as f64).round() as usize).min(live.saturating_sub(1));
+            if k == 0 {
+                continue;
+            }
+            let mut ids = host.nodes().id_vec();
+            ids.shuffle(&mut self.stream_rng(PHASE_CRASH, round));
+            let mut wave = 0u32;
+            for id in ids.into_iter().take(k) {
+                if let Some(state) = host.nodes().remove(id) {
+                    host.on_crash(id, state);
+                    crashed.push(id.slot() as u32);
+                    wave += 1;
+                    if let Some(t) = host.telemetry() {
+                        t.record_crash(round, id.slot() as u32);
+                    }
+                }
+            }
+            if wave > 0 {
+                self.pending_recoveries.push((recover_round, wave));
+            }
+        }
+
+        // 4. Recoveries due this round: the same number of fresh nodes
+        // rejoins. States and the engine's own draws (overlay views, churn
+        // schedules, timer phases) share the scenario's recover stream.
+        let mut recovered = 0u32;
+        self.pending_recoveries.retain(|&(when, count)| {
+            if when <= round {
+                recovered += count;
+                false
+            } else {
+                true
+            }
+        });
+        if recovered > 0 {
+            let mut rng = self.stream_rng(PHASE_RECOVER, round);
+            let mut joined = Vec::with_capacity(recovered as usize);
+            for _ in 0..recovered {
+                let state = host.make_node(&mut rng);
+                let id = host.nodes().insert(state);
+                host.net().reset_slot(id.slot());
+                host.on_recover(id, round, &mut rng);
+                joined.push(id);
+            }
+            for id in joined {
+                if let Some(t) = host.telemetry() {
+                    t.record_recovery(round, id.slot() as u32);
+                }
+                host.on_rejoin(id);
+            }
+        }
+
+        // 5. Attribute drift: rewrite live nodes' values in slot order from
+        // the round's drift stream.
+        let drifted = self.apply_drift(round, host);
+        if drifted > 0 {
+            if let Some(t) = host.telemetry() {
+                t.record_fault_drift(round, drifted);
+            }
+        }
+
+        // 6. Byzantine adversary: membership is a pure function of the
+        // scenario seed, counted over the post-crash live population.
+        let adversary = self.scenario.adversary_at(round);
+        let byzantine = adversary
+            .as_ref()
+            .map(|adv| adv.count_byzantine(host.nodes().ids().map(|id| id.slot())))
+            .unwrap_or(0);
+
+        if loss_override.is_some()
+            || active.is_some()
+            || !crashed.is_empty()
+            || recovered > 0
+            || adversary.is_some()
+            || drifted > 0
+        {
+            self.trace.records.push(RoundFaults {
+                round,
+                loss_rate,
+                partition_active: active.is_some(),
+                partition_checksum,
+                crashed,
+                recovered,
+                byzantine,
+                drifted,
+            });
+        }
+        adversary
     }
 
-    /// Deterministic RNG for the attribute-drift draws at `round`. One
-    /// stream per round, consumed over live nodes in slot order — the
-    /// application loop is sequential in both engines, so replay is
-    /// thread-count invariant.
-    pub(crate) fn drift_rng(&self, round: u64) -> rand::rngs::StdRng {
-        seeded_rng(derive_seed(
-            derive_seed(self.scenario.seed, PHASE_DRIFT),
-            round,
-        ))
+    /// Applies the drift models active at `round` to every live node in
+    /// slot order, returning the number of node mutations performed.
+    fn apply_drift<H: FaultHost>(&self, round: u64, host: &mut H) -> u32 {
+        let models = self.scenario.drifts_at(round);
+        if models.is_empty() {
+            return 0;
+        }
+        let mut rng = self.stream_rng(PHASE_DRIFT, round);
+        let ids = host.nodes().id_vec();
+        let mut drifted = 0u32;
+        for model in models {
+            for &id in &ids {
+                let op = match model {
+                    DriftModel::LinearRamp { per_round } => DriftOp::Shift(per_round),
+                    DriftModel::Step { shift } => DriftOp::Shift(shift),
+                    DriftModel::Jitter { sigma } => {
+                        // One draw per node, consumed even when sigma is 0,
+                        // keeping the stream aligned across scenarios.
+                        let u = rng.random::<f64>();
+                        DriftOp::Shift((2.0 * u - 1.0) * sigma)
+                    }
+                    DriftModel::Replacement { rate } => {
+                        if rng.random::<f64>() >= rate {
+                            continue;
+                        }
+                        DriftOp::Replace
+                    }
+                };
+                host.drift_node(id, op, &mut rng);
+                drifted += 1;
+            }
+        }
+        drifted
     }
 }
 
@@ -1160,16 +1370,16 @@ mod tests {
             DriftModel::Jitter { sigma: 1.0 },
         ));
         let a: Vec<f64> = {
-            let mut rng = rt.drift_rng(3);
+            let mut rng = rt.stream_rng(PHASE_DRIFT, 3);
             (0..8).map(|_| rng.random::<f64>()).collect()
         };
         let b: Vec<f64> = {
-            let mut rng = rt.drift_rng(3);
+            let mut rng = rt.stream_rng(PHASE_DRIFT, 3);
             (0..8).map(|_| rng.random::<f64>()).collect()
         };
         assert_eq!(a, b);
         let c: Vec<f64> = {
-            let mut rng = rt.drift_rng(4);
+            let mut rng = rt.stream_rng(PHASE_DRIFT, 4);
             (0..8).map(|_| rng.random::<f64>()).collect()
         };
         assert_ne!(a, c, "different rounds get different drift streams");

@@ -91,6 +91,6 @@ pub use telemetry::{SimTelemetry, TelemetryHandle, TelemetryShard};
 // Re-exported so downstream crates (core, bench) can use telemetry types
 // without their own `adam2-telemetry` dependency.
 pub use adam2_telemetry::{
-    fnv1a, git_revision, json_f64, Event as TelemetryEvent, EventKind as TelemetryEventKind,
+    fnv1a, git_revision, json_f64, mix, Event as TelemetryEvent, EventKind as TelemetryEventKind,
     Histogram, RoundSnapshot, RunManifest, Telemetry, MANIFEST_SCHEMA_VERSION,
 };

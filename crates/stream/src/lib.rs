@@ -36,7 +36,7 @@ use adam2_core::{
     discrete_errors_over, Adam2Config, Adam2Protocol, BlendedTracker, DistributionEstimate,
     DriftController, FadeConfig, InstanceMeta, InterpCdf,
 };
-use adam2_sim::{Engine, FaultScenario};
+use adam2_sim::{mix, Engine, FaultScenario};
 
 /// How completed estimates are turned into the served tracking estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,15 +211,6 @@ pub struct StreamReport {
     /// FNV-1a digest over the full per-round error series; bit-identical
     /// replay at any thread count reproduces it exactly.
     pub fingerprint: u64,
-}
-
-/// FNV-1a over the little-endian bytes of `v`, folded into `h`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Runs overlapping Adam2 instances on a staggered schedule over a

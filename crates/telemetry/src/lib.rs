@@ -26,7 +26,7 @@ mod metrics;
 mod snapshot;
 
 pub use events::{Event, EventKind, EventTrace};
-pub use manifest::{fnv1a, git_revision, RunManifest, MANIFEST_SCHEMA_VERSION};
+pub use manifest::{fnv1a, git_revision, mix, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, MetricRegistry, MetricShard, HISTOGRAM_BUCKETS,
 };

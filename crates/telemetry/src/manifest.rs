@@ -91,6 +91,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Folds the little-endian bytes of `v` into the FNV-1a state `h` (start
+/// from [`fnv1a`]'s offset basis, `fnv1a(&[])`). Bench fingerprints are
+/// built from it, so equal digests mean byte-identical trajectories.
+pub fn mix(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// Resolves the current git revision by reading `.git/HEAD` (and the ref
 /// file it points to) from `dir` or any ancestor — no subprocess, works in
 /// sandboxes without a `git` binary on PATH. Returns `None` outside a git
