@@ -71,3 +71,91 @@ fn cycle_event_parity_10k() {
 fn cycle_event_parity_100k() {
     parity_at(100_000);
 }
+
+/// Every fault axis that rewrites the population, on both engines: the
+/// fault traces must match record for record, and so must every live
+/// slot's attribute value — including the nodes each crash–recover wave
+/// rebuilds and the values the drift windows rewrite.
+#[test]
+fn fault_replay_matches_across_engines() {
+    use adam2_bench::{adam2_engine_with, setup};
+    use adam2_core::{Adam2Config, AsyncAdam2};
+    use adam2_sim::{
+        AdversaryModel, DriftModel, EventConfig, EventEngine, LatencyModel, PartitionKind,
+    };
+    use adam2_traces::Attribute;
+
+    const NODES: usize = 500;
+    const SEED: u64 = 42;
+    const PERIOD: u64 = 200;
+    const ROUNDS: u64 = 30;
+    let scenario = FaultScenario::new(11)
+        .with_burst_loss(5, 9, 0.3)
+        .with_partition(8, 14, PartitionKind::Islands(3))
+        .with_crash_recover(6, 12, 0.1)
+        .with_crash_recover(10, 18, 0.15)
+        .with_drift(4, 20, DriftModel::Jitter { sigma: 5.0 })
+        .with_drift(4, 20, DriftModel::Replacement { rate: 0.05 })
+        .with_adversary(
+            0,
+            ROUNDS,
+            0.1,
+            AdversaryModel::ValuePoisoning { magnitude: 5.0 },
+        );
+
+    let s = setup(Attribute::Ram, NODES, SEED);
+    let mut cycle = adam2_engine_with(&s, Adam2Config::new().with_lambda(20), SEED, |c| {
+        c.with_threads(2)
+    });
+    cycle.set_fault_scenario(scenario.clone()).unwrap();
+    cycle.run_rounds_parallel(ROUNDS);
+
+    let pop = s.population.clone();
+    let proto = AsyncAdam2::with_population(PERIOD, s.population.values().to_vec(), move |rng| {
+        pop.draw_fresh(rng)
+    });
+    let config = EventConfig::new(NODES, SEED)
+        .with_gossip_period(PERIOD)
+        .with_latency(LatencyModel::Uniform { min: 5, max: 40 })
+        .with_threads(2);
+    let mut event = EventEngine::new(config, proto);
+    event.set_fault_scenario(scenario).unwrap();
+    // Fault round r is applied when the clock enters tick r * PERIOD, so
+    // stopping one tick short of ROUNDS periods covers rounds 0..ROUNDS.
+    event.run_until_parallel(ROUNDS * PERIOD - 1);
+
+    let cycle_trace = &cycle.fault_trace().unwrap().records;
+    let event_trace = &event.fault_trace().unwrap().records;
+    assert_eq!(cycle_trace.len(), event_trace.len());
+    for (c, e) in cycle_trace.iter().zip(event_trace) {
+        assert_eq!(
+            (c.round, c.partition_active, c.partition_checksum),
+            (e.round, e.partition_active, e.partition_checksum)
+        );
+        assert_eq!(c.crashed, e.crashed, "round {}", c.round);
+        assert_eq!(
+            (c.recovered, c.byzantine, c.drifted),
+            (e.recovered, e.byzantine, e.drifted),
+            "round {}",
+            c.round
+        );
+    }
+    // 10% of 500, then 15% of the 450 survivors.
+    assert_eq!(cycle.fault_trace().unwrap().total_recovered(), 50 + 68);
+
+    let values = |nodes: &adam2_sim::NodeSlab<adam2_core::Adam2Node>| {
+        nodes
+            .iter()
+            .map(|(id, node)| (id.slot(), node.value().clone()))
+            .collect::<Vec<_>>()
+    };
+    let (cycle_values, event_values) = (values(cycle.nodes()), values(event.nodes()));
+    assert_eq!(cycle_values.len(), NODES);
+    let differing = cycle_values
+        .iter()
+        .zip(&event_values)
+        .filter(|(c, e)| c != e)
+        .count();
+    assert_eq!(differing, 0, "{differing} of {NODES} slots differ");
+    assert_eq!(cycle_values, event_values);
+}

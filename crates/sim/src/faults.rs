@@ -975,8 +975,9 @@ impl FaultRuntime {
         }
 
         // 4. Recoveries due this round: the same number of fresh nodes
-        // rejoins. States and the engine's own draws (overlay views, churn
-        // schedules, timer phases) share the scenario's recover stream.
+        // rejoins. All of the wave's states are drawn from the recover
+        // stream before any engine draw (overlay views, churn schedules,
+        // timer phases), so both engines rebuild identical nodes.
         let mut recovered = 0u32;
         self.pending_recoveries.retain(|&(when, count)| {
             if when <= round {
@@ -988,9 +989,9 @@ impl FaultRuntime {
         });
         if recovered > 0 {
             let mut rng = self.stream_rng(PHASE_RECOVER, round);
-            let mut joined = Vec::with_capacity(recovered as usize);
-            for _ in 0..recovered {
-                let state = host.make_node(&mut rng);
+            let states: Vec<H::Node> = (0..recovered).map(|_| host.make_node(&mut rng)).collect();
+            let mut joined = Vec::with_capacity(states.len());
+            for state in states {
                 let id = host.nodes().insert(state);
                 host.net().reset_slot(id.slot());
                 host.on_recover(id, round, &mut rng);
