@@ -6,9 +6,11 @@
 //! layout `--telemetry DIR` produces for multi-scenario binaries).
 //!
 //! `telemetry_check --bench FILE...` instead validates benchmark result
-//! files (currently `BENCH_byzantine.json`): the embedded manifest must
-//! match the manifest schema and every result record must carry exactly
-//! the documented fields, with both engines present.
+//! files (`BENCH_faults.json`, `BENCH_byzantine.json`, `BENCH_explore.json`,
+//! `BENCH_deploy.json`, `BENCH_streaming.json`): the embedded manifest
+//! must match the manifest schema, every result record must carry exactly
+//! the documented fields, and the results must cover every scenario,
+//! engine, configuration, backend or mode the benchmark defines.
 //!
 //! Every record must carry exactly the documented fields — unknown and
 //! missing fields both fail — with the documented types, and every event
@@ -99,6 +101,21 @@ const BYZANTINE_RESULT_FIELDS: &[(&str, FieldType)] = &[
     ("robust_rejects", FieldType::Uint),
     ("robust_trims", FieldType::Uint),
     ("fingerprint", FieldType::Uint),
+];
+
+/// `BENCH_faults.json` per-result schema (`--bench` mode): one record per
+/// (scenario, repair, self-heal) cell of the fault matrix.
+const FAULT_RESULT_FIELDS: &[(&str, FieldType)] = &[
+    ("scenario", FieldType::Str),
+    ("repair", FieldType::Bool),
+    ("self_heal", FieldType::Bool),
+    ("err_a", FieldType::NumberOrNull),
+    ("err_m", FieldType::NumberOrNull),
+    ("weight_drift", FieldType::NumberOrNull),
+    ("fraction_drift", FieldType::NumberOrNull),
+    ("peers_without_estimate", FieldType::Uint),
+    ("healed", FieldType::Uint),
+    ("bootstraps", FieldType::Uint),
 ];
 
 /// `BENCH_deploy.json` per-result schema (`--bench` mode): one record per
@@ -416,6 +433,17 @@ fn validate_bench(path: &Path) -> Result<usize, String> {
         "\"byzantine_resilience\"" => {
             (BYZANTINE_RESULT_FIELDS, "engine", &["cycle", "event"], None)
         }
+        "\"fault_matrix\"" => (
+            FAULT_RESULT_FIELDS,
+            "scenario",
+            &[
+                "fault_free",
+                "burst20",
+                "burst20_partition10",
+                "crash_recover",
+            ],
+            None,
+        ),
         "\"scenario_explorer\"" => (
             EXPLORE_RESULT_FIELDS,
             "config",
@@ -538,7 +566,7 @@ fn main() -> ExitCode {
         eprintln!("usage: telemetry_check DIR...");
         eprintln!("       telemetry_check --bench FILE...");
         eprintln!("validates telemetry exports (manifest.json, rounds.jsonl/.csv, events.jsonl)");
-        eprintln!("or, with --bench, benchmark result files (BENCH_byzantine.json)");
+        eprintln!("or, with --bench, benchmark result files (BENCH_*.json)");
         return if args.is_empty() {
             ExitCode::from(2)
         } else {
@@ -668,6 +696,89 @@ mod tests {
         )
         .unwrap();
         assert!(check_manifest(&v2).unwrap_err().contains("schema_version"));
+    }
+
+    fn fault_result_line(scenario: &str) -> String {
+        format!(
+            "    {{\"scenario\": \"{scenario}\", \"repair\": true, \"self_heal\": false, \
+             \"err_a\": 2.895e-3, \"err_m\": 9.25e-2, \"weight_drift\": 6.4e-15, \
+             \"fraction_drift\": 1.1e-10, \"peers_without_estimate\": 0, \"healed\": 0, \
+             \"bootstraps\": 1000}},"
+        )
+    }
+
+    fn fault_bench_json() -> String {
+        let scenarios = [
+            "fault_free",
+            "burst20",
+            "burst20_partition10",
+            "crash_recover",
+        ];
+        let lines: Vec<String> = scenarios.iter().map(|s| fault_result_line(s)).collect();
+        format!(
+            "{{\n  \"benchmark\": \"fault_matrix\",\n  \"manifest\": \
+             {{\"schema_version\": 1, \"experiment\": \"bench_faults\", \"config_hash\": 5, \
+             \"seed\": 42, \"threads\": 1, \"detected_cores\": 4, \"git_rev\": null}},\n  \
+             \"nodes\": 10000,\n  \"results\": [\n{}\n  ]\n}}\n",
+            lines.join("\n").trim_end_matches(',')
+        )
+    }
+
+    #[test]
+    fn bench_mode_accepts_the_fault_matrix_schema() {
+        let dir = std::env::temp_dir().join("telemetry_check_faults_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_faults.json");
+        std::fs::write(&path, fault_bench_json()).unwrap();
+        assert_eq!(validate_bench(&path), Ok(4));
+
+        // A record without the bootstrap count fails.
+        std::fs::write(
+            &path,
+            fault_bench_json().replacen(", \"bootstraps\": 1000", "", 1),
+        )
+        .unwrap();
+        assert!(validate_bench(&path)
+            .unwrap_err()
+            .contains("missing field 'bootstraps'"));
+
+        // Dropping the crash-recover scenario fails.
+        std::fs::write(
+            &path,
+            fault_bench_json().replace("\"crash_recover\"", "\"burst20\""),
+        )
+        .unwrap();
+        assert!(validate_bench(&path)
+            .unwrap_err()
+            .contains("no results for scenario 'crash_recover'"));
+
+        // A non-boolean repair flag fails.
+        std::fs::write(
+            &path,
+            fault_bench_json().replacen("\"repair\": true", "\"repair\": 1", 1),
+        )
+        .unwrap();
+        assert!(validate_bench(&path).unwrap_err().contains("'repair'"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bench_mode_rejects_the_manifest_less_fault_matrix_layout() {
+        // The layout bench_faults wrote before manifests and bootstrap
+        // counts existed.
+        let dir = std::env::temp_dir().join("telemetry_check_faults_legacy_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_faults.json");
+        let legacy = "{\n  \"benchmark\": \"fault_matrix\",\n  \"nodes\": 10000,\n  \
+             \"results\": [\n    {\"scenario\": \"fault_free\", \"repair\": false, \
+             \"self_heal\": false, \"err_a\": 2.872627e-3, \"err_m\": 9.252860e-2, \
+             \"weight_drift\": 6.439294e-15, \"fraction_drift\": 1.073204e-10, \
+             \"peers_without_estimate\": 0, \"healed\": 0}\n  ]\n}\n";
+        std::fs::write(&path, legacy).unwrap();
+        assert!(validate_bench(&path)
+            .unwrap_err()
+            .contains("missing \"manifest\" field"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn byzantine_result_line(engine: &str) -> String {
