@@ -340,12 +340,7 @@ pub fn evaluate_estimates(
     sample_peers: usize,
     seed: u64,
 ) -> ErrorReport {
-    let peers: Vec<Option<PeerEstimate>> = engine
-        .nodes()
-        .iter()
-        .map(|(_, node)| node.estimate().map(PeerEstimate::from))
-        .collect();
-    evaluate_peer_estimates(&peers, truth, sample_peers, seed)
+    collect_peers(engine.nodes()).score_honest(None, truth, sample_peers, seed)
 }
 
 /// Engine-independent core of [`evaluate_estimates`]: scores a list of

@@ -325,23 +325,18 @@ fn judge(
     peers_without_estimate: usize,
     baseline_err: Option<f64>,
 ) -> (Verdict, f64) {
-    if mass_eligible.weight {
-        if let Some(kind) = weight_violation {
-            let verdict = match kind {
-                MassViolation::Inflation => Verdict::MassInflation,
-                MassViolation::Leakage => Verdict::MassLeakage,
-            };
-            return (verdict, weight_drift.unwrap_or(f64::NAN));
-        }
-    }
-    if mass_eligible.fraction {
-        if let Some(kind) = fraction_violation {
-            let verdict = match kind {
-                MassViolation::Inflation => Verdict::MassInflation,
-                MassViolation::Leakage => Verdict::MassLeakage,
-            };
-            return (verdict, fraction_drift.unwrap_or(f64::NAN));
-        }
+    let audits = [
+        (mass_eligible.weight, weight_violation, weight_drift),
+        (mass_eligible.fraction, fraction_violation, fraction_drift),
+    ];
+    for (eligible, violation, drift) in audits {
+        let verdict = match violation {
+            Some(_) if !eligible => continue,
+            Some(MassViolation::Inflation) => Verdict::MassInflation,
+            Some(MassViolation::Leakage) => Verdict::MassLeakage,
+            None => continue,
+        };
+        return (verdict, drift.unwrap_or(f64::NAN));
     }
     if peers_without_estimate > 0 {
         return (Verdict::NonConvergence, peers_without_estimate as f64);

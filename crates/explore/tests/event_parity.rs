@@ -79,9 +79,9 @@ fn cycle_event_parity_100k() {
 #[test]
 fn fault_replay_matches_across_engines() {
     use adam2_bench::{adam2_engine_with, setup};
-    use adam2_core::{Adam2Config, AsyncAdam2};
+    use adam2_core::{Adam2Config, Adam2Node, AsyncAdam2};
     use adam2_sim::{
-        AdversaryModel, DriftModel, EventConfig, EventEngine, LatencyModel, PartitionKind,
+        AdversaryModel, DriftModel, EventConfig, EventEngine, LatencyModel, NodeSlab, PartitionKind,
     };
     use adam2_traces::Attribute;
 
@@ -124,38 +124,25 @@ fn fault_replay_matches_across_engines() {
     // stopping one tick short of ROUNDS periods covers rounds 0..ROUNDS.
     event.run_until_parallel(ROUNDS * PERIOD - 1);
 
-    let cycle_trace = &cycle.fault_trace().unwrap().records;
-    let event_trace = &event.fault_trace().unwrap().records;
-    assert_eq!(cycle_trace.len(), event_trace.len());
-    for (c, e) in cycle_trace.iter().zip(event_trace) {
-        assert_eq!(
-            (c.round, c.partition_active, c.partition_checksum),
-            (e.round, e.partition_active, e.partition_checksum)
-        );
-        assert_eq!(c.crashed, e.crashed, "round {}", c.round);
-        assert_eq!(
-            (c.recovered, c.byzantine, c.drifted),
-            (e.recovered, e.byzantine, e.drifted),
-            "round {}",
-            c.round
-        );
-    }
+    // Both engines run loss-free outside the burst, so even the records'
+    // effective loss rates agree.
+    let trace = cycle.fault_trace().unwrap();
+    assert_eq!(trace, event.fault_trace().unwrap());
     // 10% of 500, then 15% of the 450 survivors.
-    assert_eq!(cycle.fault_trace().unwrap().total_recovered(), 50 + 68);
+    assert_eq!(trace.total_recovered(), 50 + 68);
 
-    let values = |nodes: &adam2_sim::NodeSlab<adam2_core::Adam2Node>| {
+    let values = |nodes: &NodeSlab<Adam2Node>| -> Vec<_> {
         nodes
             .iter()
             .map(|(id, node)| (id.slot(), node.value().clone()))
-            .collect::<Vec<_>>()
+            .collect()
     };
     let (cycle_values, event_values) = (values(cycle.nodes()), values(event.nodes()));
-    assert_eq!(cycle_values.len(), NODES);
+    assert_eq!((cycle_values.len(), event_values.len()), (NODES, NODES));
     let differing = cycle_values
         .iter()
         .zip(&event_values)
         .filter(|(c, e)| c != e)
         .count();
     assert_eq!(differing, 0, "{differing} of {NODES} slots differ");
-    assert_eq!(cycle_values, event_values);
 }

@@ -718,29 +718,20 @@ impl<P: AsyncProtocol> EventEngine<P> {
             .and_then(|rt| rt.scenario.adversary_at(round))
     }
 
-    /// Applies the round-windowed faults (crash waves, recoveries, trace
-    /// records) of every gossip-period window entered since the last call.
-    /// Runs at the same sequential points in both drivers and draws only
-    /// from scenario-seeded streams, so the injected faults — and the
-    /// resulting [`FaultTrace`] — are identical across the sequential and
-    /// batch drivers at any thread count.
+    /// Applies the round-windowed faults ([`FaultRuntime::apply_round`]) of
+    /// every gossip-period window entered since the last call. Runs at the
+    /// same sequential points in both drivers, so the injected faults — and
+    /// the resulting [`FaultTrace`] — are identical across the sequential
+    /// and batch drivers at any thread count.
     fn advance_faults(&mut self) {
-        if self.faults.is_none() {
-            return;
-        }
-        let current = self.now / self.config.gossip_period;
-        while self.next_fault_round <= current {
-            let round = self.next_fault_round;
-            self.next_fault_round += 1;
-            self.apply_fault_round(round);
-        }
-    }
-
-    fn apply_fault_round(&mut self, round: u64) {
         let Some(mut rt) = self.faults.take() else {
             return;
         };
-        rt.apply_round(round, self.config.loss_rate, self);
+        let current = self.now / self.config.gossip_period;
+        while self.next_fault_round <= current {
+            rt.apply_round(self.next_fault_round, self.config.loss_rate, self);
+            self.next_fault_round += 1;
+        }
         self.faults = Some(rt);
     }
 
